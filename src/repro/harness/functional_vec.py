@@ -355,6 +355,11 @@ def _trace_cache(columns) -> tuple[dict, dict]:
     return slot[1], slot[2]
 
 
+def clear_trace_cache() -> None:
+    """Drop every per-trace memo (``runner.clear_caches`` calls this)."""
+    _TRACE_CACHE.clear()
+
+
 def _cached_batch(columns, need_direction, need_path, need_load_path):
     batches, _ = _trace_cache(columns)
     key = (need_direction, need_path, need_load_path)

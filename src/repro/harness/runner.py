@@ -17,6 +17,7 @@ metrics dict (see :mod:`repro.harness.resilient`).
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import OrderedDict
 from typing import Any
@@ -337,14 +338,19 @@ def clear_caches() -> None:
 
     Clears the baseline-result memo here, the generator's trace memo
     and ambient trace-store handle
-    (:func:`repro.workloads.generator.clear_trace_caches`), and the
-    ambient results-database handle with its in-process memo and usage
-    totals, so one call resets every caching layer at once.  On-disk
+    (:func:`repro.workloads.generator.clear_trace_caches`), the
+    vectorized functional backend's per-trace batch and hash memo, and
+    the ambient results-database handle with its in-process memo and
+    usage totals, so one call resets every caching layer at once.  On-disk
     store and database entries are untouched -- delete those with
     ``repro-lvp cache --clear``.
     """
     _baseline_cache.clear()
     clear_trace_caches()
+    # Imported lazily (it pulls in numpy); never imported, never filled.
+    functional_vec = sys.modules.get("repro.harness.functional_vec")
+    if functional_vec is not None:
+        functional_vec.clear_trace_cache()
     resultsdb.reset_active_db()
     resilient.reset_db_usage_totals()
 

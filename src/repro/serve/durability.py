@@ -42,6 +42,13 @@ segments are retained for exactly this reason.
 both the state *and* the response cache, so a client retrying a
 request the server applied just before dying gets the original
 response, not a double execution.
+
+**One replayer.**  Every path that rebuilds a session from a WAL --
+crash recovery here, and the warm standby's record-by-record stream
+plus its promotion (:mod:`repro.serve.standby`) -- feeds records to
+one :class:`WalReplayer` and hands the finished replayer to
+:meth:`DurabilityManager.install`.  The replay rules and the
+"make it live" steps therefore exist once.
 """
 
 from __future__ import annotations
@@ -52,7 +59,8 @@ import os
 import pickle
 import struct
 import time
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from zlib import crc32
 
@@ -113,21 +121,7 @@ class DurabilityStats:
     durable_opens: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "wal_appends": self.wal_appends,
-            "wal_bytes": self.wal_bytes,
-            "wal_fsyncs": self.wal_fsyncs,
-            "wal_segments": self.wal_segments,
-            "checkpoint_count": self.checkpoint_count,
-            "checkpoint_bytes": self.checkpoint_bytes,
-            "checkpoint_failures": self.checkpoint_failures,
-            "recovered_sessions": self.recovered_sessions,
-            "replayed_records": self.replayed_records,
-            "corrupt_tail_records": self.corrupt_tail_records,
-            "spills": self.spills,
-            "closed_sessions": self.closed_sessions,
-            "durable_opens": self.durable_opens,
-        }
+        return asdict(self)
 
 
 # ----------------------------------------------------------------------
@@ -184,6 +178,54 @@ def scan_wal_file(path: Path) -> tuple[list[dict], int, int]:
         offset = newline + 1
         valid = offset
     return records, valid, dropped
+
+
+# ----------------------------------------------------------------------
+# Session directories
+# ----------------------------------------------------------------------
+
+
+def segment_path(directory: Path, index: int) -> Path:
+    """The path of WAL segment ``index`` inside a session directory."""
+    return directory / f"{_WAL_PREFIX}{index:08d}{_WAL_SUFFIX}"
+
+
+def wal_segments(directory: Path) -> list[Path]:
+    """Every WAL segment file in a session directory, in order."""
+    return sorted(directory.glob(f"{_WAL_PREFIX}*{_WAL_SUFFIX}"))
+
+
+def is_closed(directory: Path) -> bool:
+    """True when the session directory holds a close tombstone."""
+    return (directory / _TOMBSTONE).exists()
+
+
+def read_session_id(directory: Path) -> str | None:
+    """The session id a WAL directory belongs to (from the first
+    segment's header record), or None when unreadable."""
+    try:
+        with segment_path(directory, 1).open("rb") as fh:
+            line = fh.readline(4096)
+    except OSError:
+        return None
+    record = decode_line(line)
+    if record is None or record.get("op") != "_segment":
+        return None
+    session_id = record.get("session")
+    return session_id if isinstance(session_id, str) and session_id else None
+
+
+def session_dirs(sessions_root: Path) -> Iterator[tuple[str, Path]]:
+    """``(session_id, directory)`` for every session directory under
+    ``sessions_root`` whose first segment names its session, sorted."""
+    root = Path(sessions_root)
+    if not root.is_dir():
+        return
+    for directory in sorted(root.iterdir()):
+        if directory.is_dir():
+            session_id = read_session_id(directory)
+            if session_id is not None:
+                yield session_id, directory
 
 
 # ----------------------------------------------------------------------
@@ -276,6 +318,90 @@ def replay_record(session: PredictorSession, op: str, body: dict) -> tuple:
     return ("ok", result)
 
 
+class ReplayGap(Exception):
+    """A record is not the next seq -- a gap, a seq out of order, or
+    anything after a replayed ``close``.  The live server logs each seq
+    once, in order, so the stream is damaged from this record on."""
+
+
+class WalReplayer:
+    """The replay rules, fed one decoded WAL record at a time.
+
+    Recovery feeds a whole scanned WAL, a warm standby each record as
+    it arrives; :meth:`DurabilityManager.install` makes the result
+    live.  A checkpoint seeds ``session`` and ``tracker``, whose
+    ``applied_seq`` is the checkpoint's seq: records at or below it are
+    already in the state and are skipped.
+    """
+
+    def __init__(
+        self,
+        session_id: str,
+        tracker: SeqTracker,
+        session: PredictorSession | None = None,
+        spec_digest: str | None = None,
+    ) -> None:
+        self.session_id = session_id
+        self.tracker = tracker
+        self.session = session
+        self.spec_digest = spec_digest
+        self.base_seq = tracker.applied_seq
+        #: The response of a replayed ``close`` (the tombstone entry).
+        self.closed_entry: tuple | None = None
+        self.replayed = 0
+
+    def feed(self, record: dict) -> None:
+        """Replay one record.
+
+        Raises :class:`ReplayGap` when the seq is not the next one, and
+        :class:`~repro.serve.session.SessionError` (``unrecoverable``)
+        for a record that comes before any ``open``.
+        """
+        seq = record.get("seq")
+        op = record.get("op")
+        if op == "_segment" or not isinstance(seq, int):
+            return
+        body = record.get("body") or {}
+        if seq <= self.base_seq:
+            # Covered by the checkpoint; only the open record's spec
+            # digest is still needed if the checkpoint lacked one.
+            if op == "open" and self.spec_digest is None:
+                self.spec_digest = stable_digest(body.get("spec"))
+            return
+        expected = self.tracker.applied_seq + 1
+        if seq != expected or self.closed_entry is not None:
+            raise ReplayGap(
+                f"session {self.session_id!r}: expected seq {expected}, "
+                f"got {seq} ({op!r}; closed: {bool(self.closed_entry)})"
+            )
+        if op == "open":
+            if self.session is None:
+                self.session = PredictorSession(
+                    body.get("spec"), session_id=self.session_id,
+                    initial_memory=_resolve_initial_memory(
+                        body.get("workload")
+                    ),
+                )
+            self.spec_digest = stable_digest(body.get("spec"))
+            entry = ("ok", {"session": self.session_id})
+        elif self.session is None:
+            raise SessionError(
+                f"durable session {self.session_id!r}: record seq {seq} "
+                f"({op!r}) comes before any checkpoint or open record",
+                code="unrecoverable",
+            )
+        else:
+            entry = replay_record(self.session, op, body)
+        self.tracker.record(seq, entry)
+        self.replayed += 1
+        if op == "close" and entry[0] == "ok":
+            # A closed session is finished: keep only what its
+            # tombstone needs (the final seq and the close response).
+            self.closed_entry = entry
+            self.session = None
+            self.tracker.load_entries(seq, [])
+
+
 class SessionDurability:
     """One durable session's WAL writer, checkpointer, and seq state."""
 
@@ -334,7 +460,7 @@ class SessionDurability:
             self.maybe_fsync(force=True)
             self._fh.close()
         self._segment += 1
-        path = self._segment_path(self._segment)
+        path = segment_path(self.dir, self._segment)
         header = encode_record({
             "op": "_segment", "segment": self._segment,
             "session": self.session_id, "format": WAL_FORMAT,
@@ -351,14 +477,11 @@ class SessionDurability:
         self.manager.stats.wal_segments += 1
         self.manager.stats.wal_bytes += len(header)
 
-    def _segment_path(self, index: int) -> Path:
-        return self.dir / f"{_WAL_PREFIX}{index:08d}{_WAL_SUFFIX}"
-
     def attach_segment(self, index: int, size: int) -> None:
         """Continue appending to a recovered (tail-repaired) segment."""
         self._segment = index
         self._segment_bytes = size
-        self._fh = self._segment_path(index).open("ab")
+        self._fh = segment_path(self.dir, index).open("ab")
 
     # -- record lifecycle ----------------------------------------------
 
@@ -432,12 +555,10 @@ class DurabilityManager:
         if session_id in self._handles:
             return True
         directory = self.session_dir(session_id)
-        if (directory / _TOMBSTONE).exists():
-            return False
-        return any(directory.glob(f"{_WAL_PREFIX}*{_WAL_SUFFIX}"))
+        return not is_closed(directory) and bool(wal_segments(directory))
 
     def check_not_closed(self, session_id: str) -> None:
-        if (self.session_dir(session_id) / _TOMBSTONE).exists():
+        if is_closed(self.session_dir(session_id)):
             raise SessionError(
                 f"durable session {session_id!r} was closed and cannot "
                 "be reopened",
@@ -455,23 +576,11 @@ class DurabilityManager:
 
     def scan_ids(self) -> list[str]:
         """Session ids of every recoverable directory under the root."""
-        ids = []
-        if not self.sessions_root.is_dir():
-            return ids
-        for directory in sorted(self.sessions_root.iterdir()):
-            if not directory.is_dir() or (directory / _TOMBSTONE).exists():
-                continue
-            segments = sorted(
-                directory.glob(f"{_WAL_PREFIX}*{_WAL_SUFFIX}")
-            )
-            if not segments:
-                continue
-            records, _, _ = scan_wal_file(segments[0])
-            if records and records[0].get("op") == "_segment":
-                session_id = records[0].get("session")
-                if isinstance(session_id, str) and session_id:
-                    ids.append(session_id)
-        return ids
+        return [
+            session_id
+            for session_id, directory in session_dirs(self.sessions_root)
+            if not is_closed(directory)
+        ]
 
     # -- lifecycle ------------------------------------------------------
 
@@ -556,118 +665,98 @@ class DurabilityManager:
         """Rebuild one session: checkpoint (if intact) + WAL replay.
 
         Truncates torn tail records, falls back to full replay from the
-        ``open`` record when the checkpoint is corrupt, rebuilds the
-        exactly-once response cache, and reattaches the WAL writer to
-        the repaired tail segment.
+        ``open`` record when the checkpoint is corrupt, keeps the prefix
+        before a seq gap, and installs the result (see :meth:`install`).
         """
         directory = self.session_dir(session_id)
         self.check_not_closed(session_id)
         records, last_segment, last_size = self._scan_segments(directory)
-
-        session: PredictorSession | None = None
-        spec_digest: str | None = None
-        base_seq = 0
-        tracker = SeqTracker(self.cache_size, self.cache_bytes)
-        loaded = load_checkpoint(directory / _CHECKPOINT)
-        if loaded is not None:
-            header, blob = loaded
-            try:
-                state = pickle.loads(blob)
-                session = PredictorSession.restore(
-                    session_id, state, header.get("counters", {})
-                )
-                base_seq = int(header.get("seq", 0))
-                spec_digest = header.get("spec_digest")
-                # Resume the exactly-once state where the checkpoint
-                # left it; WAL replay extends it from base_seq on.
-                tracker.load_entries(
-                    base_seq, header.get("seq_cache"),
-                    header.get("seq_cache_policy"),
-                )
-            except Exception:
-                self.stats.checkpoint_failures += 1
-                session = None
-                base_seq = 0
-                tracker = SeqTracker(self.cache_size, self.cache_bytes)
-        elif (directory / _CHECKPOINT).exists() is False and loaded is None:
-            pass  # no checkpoint was ever written -- full replay
-        if loaded is None and (directory / _CHECKPOINT).exists():
-            # load_checkpoint evicts corrupt files, so reaching here
-            # means eviction failed; count it either way.
-            self.stats.checkpoint_failures += 1
-
-        replayed = 0
-        closed_entry: tuple | None = None
-        expected = base_seq + 1
-        for record in records:
-            seq = record.get("seq")
-            op = record.get("op")
-            if op == "_segment" or not isinstance(seq, int):
-                continue
-            if seq <= base_seq:
-                # Covered by the checkpoint; skip (but note the open
-                # record's spec digest if the checkpoint lacked one).
-                if op == "open" and spec_digest is None:
-                    spec_digest = stable_digest(
-                        record.get("body", {}).get("spec")
-                    )
-                continue
-            if seq != expected:
-                # A gap means the tail past this point is unusable.
-                self.stats.corrupt_tail_records += 1
-                break
-            body = record.get("body") or {}
-            if op == "open":
-                if session is None:
-                    session = PredictorSession(
-                        body.get("spec"),
-                        session_id=session_id,
-                        initial_memory=_resolve_initial_memory(
-                            body.get("workload")
-                        ) if body.get("workload") is not None else None,
-                    )
-                spec_digest = stable_digest(body.get("spec"))
-                entry = ("ok", {"session": session_id})
-            elif session is None:
-                raise SessionError(
-                    f"durable session {session_id!r} has no checkpoint "
-                    "and no open record; cannot recover",
-                    code="unrecoverable",
-                )
-            else:
-                entry = replay_record(session, op, body)
-                if op == "close" and entry[0] == "ok":
-                    closed_entry = entry
-            tracker.record(seq, entry)
-            replayed += 1
-            expected = seq + 1
-
-        if session is None:
+        replayer = self._checkpoint_replayer(session_id, directory)
+        try:
+            for record in records:
+                replayer.feed(record)
+        except ReplayGap:
+            # The tail past a gap is unusable; the prefix stands.
+            self.stats.corrupt_tail_records += 1
+        if replayer.session is None and replayer.closed_entry is None:
             raise SessionError(
                 f"durable session {session_id!r} has no recoverable "
                 "state",
                 code="unrecoverable",
             )
-        if closed_entry is not None:
-            # The close was logged but the tombstone never landed;
-            # finish the close now instead of resurrecting the session.
-            self.finalize_close(session_id, tracker.applied_seq,
-                                closed_entry)
+        session = self.install(replayer, last_segment, last_size)
+        if session is None:
             raise SessionError(
                 f"durable session {session_id!r} was closed and cannot "
                 "be reopened",
                 code="session-closed",
             )
+        return session
 
-        session.tracker = tracker
-        handle = SessionDurability(self, session_id, directory, tracker)
-        handle.spec_digest = spec_digest
-        if last_segment:
-            handle.attach_segment(last_segment, last_size)
+    def install(
+        self, replayer: WalReplayer, segment: int, size: int
+    ) -> PredictorSession | None:
+        """Make a replayed session live; ``None`` if it replayed a close.
+
+        A replayed close (its tombstone may never have landed) is
+        finished through :meth:`finalize_close`.  Otherwise the session
+        gets a WAL writer attached at ``(segment, size)``, the end of
+        its last intact record, for the caller to admit.
+        """
+        session_id = replayer.session_id
+        if replayer.closed_entry is not None:
+            self.finalize_close(
+                session_id, replayer.tracker.applied_seq,
+                replayer.closed_entry,
+            )
+            return None
+        session = replayer.session
+        session.durable = True
+        session.tracker = replayer.tracker
+        handle = SessionDurability(
+            self, session_id, self.session_dir(session_id),
+            replayer.tracker,
+        )
+        handle.spec_digest = replayer.spec_digest
+        if segment:
+            handle.attach_segment(segment, size)
         self._handles[session_id] = handle
         self.stats.recovered_sessions += 1
-        self.stats.replayed_records += replayed
+        self.stats.replayed_records += replayer.replayed
         return session
+
+    def _checkpoint_replayer(
+        self, session_id: str, directory: Path
+    ) -> WalReplayer:
+        """A replayer seeded from the session's checkpoint when it is
+        intact, else an empty one (full replay from ``open``)."""
+        tracker = SeqTracker(self.cache_size, self.cache_bytes)
+        loaded = load_checkpoint(directory / _CHECKPOINT)
+        if loaded is None:
+            if (directory / _CHECKPOINT).exists():
+                # load_checkpoint evicts corrupt files, so reaching
+                # here means eviction failed; count it either way.
+                self.stats.checkpoint_failures += 1
+            return WalReplayer(session_id, tracker)
+        header, blob = loaded
+        try:
+            session = PredictorSession.restore(
+                session_id, pickle.loads(blob), header.get("counters", {})
+            )
+            # Resume the exactly-once state where the checkpoint left
+            # it; WAL replay extends it from the checkpoint's seq on.
+            tracker.load_entries(
+                int(header.get("seq", 0)), header.get("seq_cache"),
+                header.get("seq_cache_policy"),
+            )
+        except Exception:
+            self.stats.checkpoint_failures += 1
+            return WalReplayer(
+                session_id, SeqTracker(self.cache_size, self.cache_bytes)
+            )
+        return WalReplayer(
+            session_id, tracker, session, header.get("spec_digest")
+        )
 
     def _scan_segments(self, directory: Path) -> tuple[list[dict], int, int]:
         """All intact records in order + the append-tail segment/size.
@@ -677,7 +766,7 @@ class DurabilityManager:
         later segment (records past a tear cannot be trusted to be
         contiguous).
         """
-        segments = sorted(directory.glob(f"{_WAL_PREFIX}*{_WAL_SUFFIX}"))
+        segments = wal_segments(directory)
         records: list[dict] = []
         last_index = 0
         last_size = 0
@@ -711,12 +800,19 @@ __all__ = [
     "WAL_FORMAT",
     "DurabilityManager",
     "DurabilityStats",
+    "ReplayGap",
     "SessionDurability",
+    "WalReplayer",
     "decode_line",
     "encode_record",
+    "is_closed",
     "load_checkpoint",
+    "read_session_id",
     "replay_record",
     "scan_wal_file",
+    "segment_path",
     "session_dir_name",
+    "session_dirs",
+    "wal_segments",
     "write_checkpoint",
 ]

@@ -814,7 +814,7 @@ class PredictorSession:
         return session
 
 
-def _resolve_initial_memory(workload: dict) -> MemoryImage | None:
+def _resolve_initial_memory(workload: dict | None) -> MemoryImage | None:
     """Resolve an ``open`` request's workload identity to its memory.
 
     Sessions replaying a stored trace need the trace's initial memory
@@ -827,6 +827,8 @@ def _resolve_initial_memory(workload: dict) -> MemoryImage | None:
     from repro.workloads.generator import SPECIAL_WORKLOADS, generate_trace
     from repro.workloads.profiles import ALL_WORKLOADS
 
+    if workload is None:
+        return None  # no workload named: no initial memory image
     if not isinstance(workload, dict):
         raise SessionError(
             f"'workload' must be a dict, got {type(workload).__name__}",
@@ -906,12 +908,9 @@ class SessionManager:
                 f"session {session_id!r} already exists",
                 code="session-exists",
             )
-        memory = (
-            _resolve_initial_memory(workload) if workload is not None
-            else None
-        )
         session = PredictorSession(
-            spec, session_id=session_id, initial_memory=memory
+            spec, session_id=session_id,
+            initial_memory=_resolve_initial_memory(workload),
         )
         self._install(session)
         return session
@@ -959,12 +958,9 @@ class SessionManager:
             self._touch(session)
             return session, True
         self.durability.check_not_closed(session_id)
-        memory = (
-            _resolve_initial_memory(workload) if workload is not None
-            else None
-        )
         session = PredictorSession(
-            spec, session_id=session_id, initial_memory=memory
+            spec, session_id=session_id,
+            initial_memory=_resolve_initial_memory(workload),
         )
         session.durable = True
         session.tracker = SeqTracker(
@@ -1130,8 +1126,14 @@ class SessionManager:
             )
 
     def _install(self, session: PredictorSession) -> None:
-        self._sessions[session.session_id] = session
         self.opened += 1
+        self.admit(session)
+
+    def admit(self, session: PredictorSession) -> None:
+        """Make a session resident under the LRU budgets: opened ones,
+        and replayed ones (recovered or promoted) once
+        :meth:`~repro.serve.durability.DurabilityManager.install` ran."""
+        self._sessions[session.session_id] = session
         self._account(session)
         self._touch(session)
         self._enforce_limits(keep=session.session_id)
@@ -1139,11 +1141,7 @@ class SessionManager:
     def _recover(self, session_id: str) -> PredictorSession:
         """Rebuild a durable session from its WAL + checkpoint."""
         session = self.durability.recover(session_id)
-        session.durable = True
-        self._sessions[session_id] = session
-        self._account(session)
-        self._touch(session)
-        self._enforce_limits(keep=session_id)
+        self.admit(session)
         return session
 
     def _account(self, session: PredictorSession) -> None:
@@ -1217,7 +1215,7 @@ class SessionManager:
             "loads": loads,
             "predicted_loads": predicted,
             "correct_predictions": correct,
-            "accuracy": (correct / predicted) if predicted else 1.0,
+            "accuracy": (correct / predicted) if predicted else 0.0,
         }
 
 

@@ -21,14 +21,15 @@ after either side restarts.
 **Standby side** (:class:`ReplicaSet` / :class:`SessionReplica`,
 driven by :class:`StandbyServer`): polls ``wal-ship``, CRC-verifies
 every complete record (reusing the WAL line format), persists verified
-lines into an identical local segment layout, and replays each record
-into a live :class:`~repro.serve.session.PredictorSession` via the
-same :func:`~repro.serve.durability.replay_record` path recovery uses
--- replay is deterministic, so the replica is bit-identical to the
-primary at every record boundary.  A partial tail line (the shipper
-read mid-append) is simply not consumed: the cursor re-requests it
-until the newline lands.  A CRC failure on a *complete* line means
-real corruption; the replica resyncs that session from ``(1, 0)``.
+lines into an identical local segment layout, and feeds each record to
+a :class:`~repro.serve.durability.WalReplayer` -- the one copy of the
+replay rules, which recovery runs too -- so the replica is
+bit-identical to the primary at every record boundary.  A partial tail
+line (the shipper read mid-append) is simply not consumed: the cursor
+re-requests it until the newline lands.  A CRC failure on a *complete*
+line, or a seq gap the replayer refuses, means real corruption; the
+replica resyncs that session from ``(1, 0)``.  A replayed ``close``
+drops the session's state but keeps its cursor and close response.
 
 **Promotion** (the ``promote`` op on :class:`StandbyServer`): the
 shard manager fences the dead primary's pid first, then asks the
@@ -36,8 +37,9 @@ standby to promote, passing the primary's (local) data dir.  The
 standby stops replicating, catches up on the un-shipped WAL tail by
 reading the dead primary's segments directly -- torn final lines were
 never acknowledged and are dropped, exactly like recovery's
-truncation -- installs every replica into its session manager with an
-attached WAL writer, and starts serving on the port it already holds.
+truncation -- hands every replayer to
+:meth:`~repro.serve.durability.DurabilityManager.install`, the routine
+recovery ends with, and starts serving on the port it already holds.
 Catch-up is bounded by one poll interval of traffic, which is why the
 measured recovery-time objective stays flat as the WAL grows.
 """
@@ -50,24 +52,17 @@ import socket
 import struct
 from pathlib import Path
 
-from repro.harness.journal import atomic_write_json, stable_digest
 from repro.serve import protocol
 from repro.serve.durability import (
-    _TOMBSTONE,
-    _WAL_PREFIX,
-    _WAL_SUFFIX,
-    SessionDurability,
+    ReplayGap,
+    WalReplayer,
     decode_line,
-    replay_record,
+    segment_path,
     session_dir_name,
+    session_dirs,
 )
 from repro.serve.server import PredictionServer, ServerConfig
-from repro.serve.session import (
-    PredictorSession,
-    SeqTracker,
-    SessionError,
-    _resolve_initial_memory,
-)
+from repro.serve.session import PredictorSession, SeqTracker, SessionError
 
 #: Default byte budget per ``wal-ship`` response (shared across
 #: sessions).  WAL lines are ASCII JSON; escaping roughly doubles them
@@ -86,26 +81,6 @@ class ReplicationError(Exception):
     """A replica stream went inconsistent (cursor/CRC/seq mismatch)."""
 
 
-def _segment_file(directory: Path, index: int) -> Path:
-    return directory / f"{_WAL_PREFIX}{index:08d}{_WAL_SUFFIX}"
-
-
-def _read_session_id(directory: Path) -> str | None:
-    """The session id a WAL directory belongs to (from the first
-    segment's header record), or None when unreadable."""
-    path = _segment_file(directory, 1)
-    try:
-        with path.open("rb") as fh:
-            line = fh.readline(4096)
-    except OSError:
-        return None
-    record = decode_line(line)
-    if record is None or record.get("op") != "_segment":
-        return None
-    session_id = record.get("session")
-    return session_id if isinstance(session_id, str) and session_id else None
-
-
 # ----------------------------------------------------------------------
 # Primary side: serving WAL bytes from a cursor
 # ----------------------------------------------------------------------
@@ -120,8 +95,8 @@ def ship_wal(
 
     Returns ``{"sessions": [entry, ...], "exhausted": bool}`` where
     each entry carries the session id, zero or more raw-byte chunks
-    (latin-1 strings, each tagged with its segment and start offset),
-    the advanced cursor, and whether the session is tombstoned.  A
+    (latin-1 strings, each tagged with its segment and start offset)
+    and the advanced cursor.  A
     cursor pointing past a segment whose successor exists rolls over
     to it -- that is how rotation reaches the standby.  A cursor past
     the *current* end of a segment with no successor is a stale stream
@@ -132,27 +107,17 @@ def ship_wal(
         cursors = {}
     budget = max(4096, min(int(max_bytes), MAX_SHIP_BYTES))
     sessions: list[dict] = []
-    root = Path(sessions_root)
-    directories = sorted(root.iterdir()) if root.is_dir() else []
-    for directory in directories:
-        if not directory.is_dir():
-            continue
-        session_id = _read_session_id(directory)
-        if session_id is None:
-            continue
+    for session_id, directory in session_dirs(sessions_root):
         cursor = cursors.get(session_id)
         if isinstance(cursor, dict):
             segment = max(1, int(cursor.get("segment", 1)))
             offset = max(0, int(cursor.get("offset", 0)))
         else:
             segment, offset = 1, 0
-        entry: dict = {
-            "session": session_id,
-            "closed": (directory / _TOMBSTONE).exists(),
-        }
+        entry: dict = {"session": session_id}
         chunks: list[dict] = []
         while budget > 0:
-            path = _segment_file(directory, segment)
+            path = segment_path(directory, segment)
             try:
                 size = path.stat().st_size
             except OSError:
@@ -182,7 +147,7 @@ def ship_wal(
                 if budget <= 0:
                     break
             if offset >= size:
-                if _segment_file(directory, segment + 1).exists():
+                if segment_path(directory, segment + 1).exists():
                     segment += 1
                     offset = 0
                     continue
@@ -202,11 +167,11 @@ def ship_wal(
 
 
 class SessionReplica:
-    """One session's live replica: cursor, local WAL copy, state.
+    """One session's live replica: cursor, local WAL copy, replayer.
 
     The invariant promotion depends on: the local segment files contain
-    *exactly* the CRC-verified lines that have been replayed into
-    ``self.session``, so attaching a WAL writer at ``(segment,
+    *exactly* the CRC-verified lines that have been fed to
+    ``self.replayer``, so attaching a WAL writer at ``(segment,
     offset)`` resumes appends with no gap and no overlap.
     """
 
@@ -232,12 +197,19 @@ class SessionReplica:
         #: the primary never re-ships bytes we already hold.
         self.offset = 0
         self.pending = b""
-        self.session: PredictorSession | None = None
-        self.tracker = SeqTracker(self.cache_size, self.cache_bytes)
-        self.spec_digest: str | None = None
-        self.expected = 1
-        self.closed_entry: tuple | None = None
-        self.records = 0
+        self.replayer = WalReplayer(
+            self.session_id, SeqTracker(self.cache_size, self.cache_bytes)
+        )
+
+    @property
+    def session(self) -> PredictorSession | None:
+        """The replayed session (``None`` before ``open``, after close)."""
+        return self.replayer.session
+
+    @property
+    def records(self) -> int:
+        """Records replayed since the stream last (re)started."""
+        return self.replayer.replayed
 
     def cursor(self) -> dict:
         return {
@@ -248,10 +220,7 @@ class SessionReplica:
     def resync(self) -> None:
         """Drop everything and restart the stream from ``(1, 0)``."""
         self.close_files()
-        if self.dir.is_dir():
-            for path in self.dir.glob(f"{_WAL_PREFIX}*{_WAL_SUFFIX}"):
-                path.unlink(missing_ok=True)
-            (self.dir / _TOMBSTONE).unlink(missing_ok=True)
+        shutil.rmtree(self.dir, ignore_errors=True)
         self._reset_state()
         self.resyncs += 1
 
@@ -264,8 +233,9 @@ class SessionReplica:
         """Verify and replay one shipped byte range; returns bytes
         consumed into verified state (the partial tail stays pending).
 
-        Raises :class:`ReplicationError` on a cursor mismatch or a CRC
-        failure on a complete line -- the caller resyncs.
+        Raises :class:`ReplicationError` on a cursor mismatch, a CRC
+        failure on a complete line, or a record the replayer refuses
+        (seq gap, record before ``open``) -- the caller resyncs.
         """
         if segment < self.segment:
             return 0  # stale duplicate; already past it
@@ -300,66 +270,27 @@ class SessionReplica:
                     f"CRC failure on a complete line in segment "
                     f"{segment} at byte {self.offset + consumed}"
                 )
-            self._apply(record)
+            try:
+                self.replayer.feed(record)
+            except (ReplayGap, SessionError) as exc:
+                raise ReplicationError(str(exc)) from exc
             self._write_local(line)
             consumed = newline + 1
         self.offset += consumed
         self.pending = buffer[consumed:]
+        if self.replayer.closed_entry is not None:
+            self.close_files()  # nothing more is ever appended
         return consumed
 
     def _write_local(self, line: bytes) -> None:
         if self._fh is None:
             self.dir.mkdir(parents=True, exist_ok=True)
-            self._fh = _segment_file(self.dir, self.segment).open("ab")
+            self._fh = segment_path(self.dir, self.segment).open("ab")
         self._fh.write(line)
 
     def flush_local(self) -> None:
         if self._fh is not None:
             self._fh.flush()
-
-    def _apply(self, record: dict) -> None:
-        """Replay one verified record into live session state.
-
-        The same loop recovery runs (see
-        :meth:`~repro.serve.durability.DurabilityManager.recover`),
-        incremental instead of batch: seqs must be contiguous, and the
-        exactly-once response cache is rebuilt alongside the state.
-        """
-        seq = record.get("seq")
-        op = record.get("op")
-        if op == "_segment" or not isinstance(seq, int):
-            return
-        if seq < self.expected:
-            return
-        if seq != self.expected:
-            raise ReplicationError(
-                f"seq gap in replica stream: expected {self.expected}, "
-                f"got {seq}"
-            )
-        body = record.get("body") or {}
-        if op == "open":
-            if self.session is None:
-                self.session = PredictorSession(
-                    body.get("spec"),
-                    session_id=self.session_id,
-                    initial_memory=_resolve_initial_memory(
-                        body.get("workload")
-                    ) if body.get("workload") is not None else None,
-                )
-            self.spec_digest = stable_digest(body.get("spec"))
-            entry = ("ok", {"session": self.session_id})
-        elif self.session is None:
-            raise ReplicationError(
-                f"record seq {seq} ({op!r}) arrived before any open "
-                "record"
-            )
-        else:
-            entry = replay_record(self.session, op, body)
-            if op == "close" and entry[0] == "ok":
-                self.closed_entry = entry
-        self.tracker.record(seq, entry)
-        self.records += 1
-        self.expected = seq + 1
 
 
 class ReplicaSet:
@@ -431,15 +362,8 @@ class ReplicaSet:
         torn final line was never acknowledged and is dropped.  Returns
         records replayed during catch-up.
         """
-        root = Path(primary_sessions_root)
-        directories = sorted(root.iterdir()) if root.is_dir() else []
         before = sum(r.records for r in self.replicas.values())
-        for directory in directories:
-            if not directory.is_dir():
-                continue
-            session_id = _read_session_id(directory)
-            if session_id is None:
-                continue
+        for session_id, directory in session_dirs(primary_sessions_root):
             replica = self.replica(session_id)
             for attempt in range(2):
                 try:
@@ -463,7 +387,7 @@ class ReplicaSet:
         self, replica: SessionReplica, directory: Path
     ) -> None:
         while True:
-            path = _segment_file(directory, replica.segment)
+            path = segment_path(directory, replica.segment)
             try:
                 data = path.read_bytes()
             except OSError:
@@ -474,7 +398,7 @@ class ReplicaSet:
                     f"replica ahead of primary segment {replica.segment}"
                 )
             replica.ingest_chunk(replica.segment, start, data[start:])
-            next_path = _segment_file(directory, replica.segment + 1)
+            next_path = segment_path(directory, replica.segment + 1)
             if not next_path.exists():
                 return
             if replica.pending:
@@ -496,14 +420,7 @@ class ReplicaSet:
         discarded, local files and all -- exactly what a cold
         restart-and-replay would forget.
         """
-        root = Path(primary_sessions_root)
-        present: set[str] = set()
-        if root.is_dir():
-            for directory in root.iterdir():
-                if directory.is_dir():
-                    session_id = _read_session_id(directory)
-                    if session_id is not None:
-                        present.add(session_id)
+        present = {sid for sid, _ in session_dirs(primary_sessions_root)}
         dropped = 0
         for session_id in list(self.replicas):
             if session_id not in present:
@@ -520,7 +437,7 @@ class ReplicaSet:
             "resyncs": sum(r.resyncs for r in self.replicas.values()),
             "closed": sum(
                 1 for r in self.replicas.values()
-                if r.closed_entry is not None
+                if r.replayer.closed_entry is not None
             ),
             "cursors": self.cursors(),
         }
@@ -687,13 +604,13 @@ class StandbyServer(PredictionServer):
         return dict(self.promotion)
 
     def _install_replicas(self) -> dict:
-        """Move every replica into the live session manager.
+        """Install every replica the way recovery installs a session.
 
-        Open sessions get a WAL writer attached at the replica's
-        cursor (the local files end exactly at the last verified
-        record); sessions whose close record replayed get their
-        tombstone finished, the same repair recovery performs when a
-        crash ate the tombstone write.
+        :meth:`~repro.serve.durability.DurabilityManager.install`
+        attaches a WAL writer at the replica's cursor (the local files
+        end exactly at the last verified record) or, for a replayed
+        close, finishes the tombstone -- the same repair recovery
+        performs when a crash ate the tombstone write.
         """
         installed = 0
         closed = 0
@@ -701,36 +618,17 @@ class StandbyServer(PredictionServer):
         for replica in self.replicas.replicas.values():
             records += replica.records
             replica.close_files()
-            if replica.session is None:
-                continue
-            if replica.closed_entry is not None:
-                replica.dir.mkdir(parents=True, exist_ok=True)
-                atomic_write_json(
-                    replica.dir / _TOMBSTONE,
-                    {
-                        "session": replica.session_id,
-                        "seq": replica.tracker.applied_seq,
-                        "entry": list(replica.closed_entry),
-                    },
-                )
-                self.durability.stats.closed_sessions += 1
-                closed += 1
-                continue
-            session = replica.session
-            session.durable = True
-            session.tracker = replica.tracker
-            handle = SessionDurability(
-                self.durability, replica.session_id, replica.dir,
-                replica.tracker,
+            replayer = replica.replayer
+            if replayer.session is None and replayer.closed_entry is None:
+                continue  # the stream never reached the open record
+            session = self.durability.install(
+                replayer, replica.segment, replica.offset
             )
-            handle.spec_digest = replica.spec_digest
-            if replica.offset > 0:
-                handle.attach_segment(replica.segment, replica.offset)
-            self.durability._handles[replica.session_id] = handle
-            self.sessions._install(session)
-            self.durability.stats.recovered_sessions += 1
-            self.durability.stats.replayed_records += replica.records
-            installed += 1
+            if session is None:
+                closed += 1
+            else:
+                self.sessions.admit(session)
+                installed += 1
         return {
             "sessions": installed, "closed": closed, "records": records,
         }

@@ -75,3 +75,14 @@ class TestScaleSeeds:
         b = run_functional(generate_trace("coremark", 6000, seed=1),
                            _composite())
         assert a.predicted_loads != b.predicted_loads
+
+
+class TestClearCaches:
+    def test_clear_caches_empties_the_vector_trace_memo(self):
+        from repro.harness import functional_vec, runner
+
+        run_functional(generate_trace("coremark", 3000), _composite(),
+                       backend="vector")
+        assert functional_vec._TRACE_CACHE, "vector run memoized nothing"
+        runner.clear_caches()
+        assert functional_vec._TRACE_CACHE == {}

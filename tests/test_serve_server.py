@@ -39,6 +39,13 @@ async def _start_server(**overrides) -> PredictionServer:
 
 
 class TestRpcs:
+    def test_idle_server_reports_zero_accuracy(self):
+        # Nothing predicted yet: a vacuous 1.0 would claim a perfect
+        # record for a server that has done no work.
+        stats = PredictionServer(ServerConfig()).execute("stats", {})
+        assert stats["sessions"]["predicted_loads"] == 0
+        assert stats["sessions"]["accuracy"] == 0.0
+
     def test_full_rpc_lifecycle(self):
         async def scenario():
             server = await _start_server()

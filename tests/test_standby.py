@@ -9,12 +9,16 @@ snapshot, and in-process promotion catches up from the fenced
 primary's disk and starts serving with no acked record lost.
 """
 
+import json
 import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.serve.durability import (
     _TOMBSTONE,
+    WAL_FORMAT,
+    DurabilityManager,
     decode_line,
     encode_record,
     session_dir_name,
@@ -373,12 +377,173 @@ class TestPromotion:
         root = server.durability.sessions_root
         standby = self.standby(tmp_path)
         stream_all(root, standby.replicas)
+        # A replayed close releases the replica's predictor state.
+        assert standby.replicas.replicas["cl"].session is None
         promo = standby.promote({"source": str(tmp_path / "primary")})
         assert promo["closed_sessions"] == 1
         assert promo["sessions"] == 0
         tomb = (standby.durability.sessions_root /
                 session_dir_name("cl") / _TOMBSTONE)
         assert tomb.exists()
+
+    def test_replayed_close_releases_the_replica_state(self, tmp_path):
+        server = durable_server(tmp_path)
+        next_seq = drive(server, "rc", chunked(make_events(10), 5))
+        root = server.durability.sessions_root
+        replicas = replica_set(tmp_path)
+        stream_all(root, replicas)
+        replica = replicas.replicas["rc"]
+        assert replica.session is not None
+        server.execute("close", {"session": "rc", "seq": next_seq})
+        stream_all(root, replicas)
+        # The predictor state is gone; the cursor (so the stream never
+        # re-ships the session), the close response and the final seq
+        # stay for promotion's tombstone.
+        assert replica.session is None
+        assert replica.replayer.closed_entry is not None
+        assert replica.replayer.tracker.applied_seq == next_seq
+        assert replica.replayer.tracker.cached_entries == 0
+        assert replica.cursor()["offset"] > 0
+        status = replicas.status()
+        assert status["closed"] == 1
+        assert status["records"] == next_seq
+
+
+def _hand_built(tmp_path, records) -> Path:
+    """A primary data dir holding one hand-built WAL segment."""
+    directory = tmp_path / "primary" / "sessions" / session_dir_name("rp")
+    directory.mkdir(parents=True)
+    header = {"op": "_segment", "segment": 1, "session": "rp",
+              "format": WAL_FORMAT}
+    (directory / "wal-00000001.log").write_bytes(
+        b"".join(encode_record(r) for r in [header] + records)
+    )
+    return tmp_path / "primary"
+
+
+def _open(seq=1):
+    return {"seq": seq, "op": "open", "body": {"spec": SPEC}}
+
+
+def _apply(seq, n=3):
+    return {"seq": seq, "op": "apply",
+            "body": {"events": make_events(n, base=0x1000 + 64 * seq)}}
+
+
+def _plain(tmp_path):
+    server = durable_server(tmp_path)
+    drive(server, "rp", chunked(make_events(40), 6))
+    server.durability.close_all()
+    return tmp_path / "primary"
+
+
+def _checkpointed(tmp_path):
+    server = durable_server(tmp_path, checkpoint_every=4)
+    drive(server, "rp", chunked(make_events(40), 6))
+    server.durability.close_all()
+    assert (server.durability.session_dir("rp") /
+            "checkpoint.ckpt").exists()
+    return tmp_path / "primary"
+
+
+def _logged_close(tmp_path):
+    server = durable_server(tmp_path)
+    next_seq = drive(server, "rp", chunked(make_events(20), 6))
+    # The close reaches the WAL, then the primary dies before it runs
+    # and before the tombstone lands.
+    server.durability.handle("rp").append(next_seq, "close", {})
+    server.durability.close_all()
+    return tmp_path / "primary"
+
+
+#: Case name -> builder of the primary's data dir.  Checkpoints never
+#: ship, so in "checkpoint" only recovery starts from one.
+REPLAY_CASES = {
+    "plain": _plain,
+    "checkpoint": _checkpointed,
+    "logged-close": _logged_close,
+    "before-open": lambda t: _hand_built(t, [_apply(1), _apply(2)]),
+    "seq-gap": lambda t: _hand_built(
+        t, [_open(), _apply(2), _apply(3), _apply(5), _apply(6)]),
+    # One rule for a seq below the next expected one: it breaks the
+    # stream like a gap, on both sides (nothing past it replays).
+    "seq-out-of-order": lambda t: _hand_built(
+        t, [_open(), _apply(2), _apply(3), _apply(2), _apply(4)]),
+}
+
+
+def _recovered(data_dir) -> dict:
+    """What crash recovery makes of a primary's data dir."""
+    manager = DurabilityManager(data_dir)
+    directory = manager.session_dir("rp")
+    try:
+        session = manager.recover("rp")
+    except SessionError as exc:
+        tomb = directory / _TOMBSTONE
+        closed = json.loads(tomb.read_text()) if tomb.exists() else None
+        return {"refused": exc.code, "closed": closed and
+                (closed["seq"], closed["entry"])}
+    verdict = {
+        "snapshot": session.snapshot(),
+        "entries": session.tracker.export_entries(),
+        "spec_digest": manager.handle("rp").spec_digest,
+        "cut": manager.stats.corrupt_tail_records > 0,
+        "replayed": manager.stats.replayed_records,
+    }
+    manager.close_all()
+    return verdict
+
+
+def _streamed(data_dir, tmp_path) -> dict:
+    """What a standby streaming the same WAL bytes makes of them."""
+    replica = SessionReplica("rp", tmp_path / "replica", 256, 1 << 20)
+    directory = data_dir / "sessions" / session_dir_name("rp")
+    refused = False
+    try:
+        for index, path in enumerate(sorted(directory.glob("wal-*")), 1):
+            replica.ingest_chunk(index, 0, path.read_bytes())
+    except ReplicationError:
+        refused = True
+    replica.close_files()
+    replayer = replica.replayer
+    if replayer.closed_entry is not None:
+        return {"refused": "session-closed", "closed": (
+            replayer.tracker.applied_seq, list(replayer.closed_entry))}
+    if replica.session is None:
+        assert refused
+        return {"refused": "unrecoverable", "closed": None}
+    return {
+        "snapshot": replica.session.snapshot(),
+        "entries": replayer.tracker.export_entries(),
+        "spec_digest": replayer.spec_digest,
+        "cut": refused,
+        "replayed": replayer.replayed,
+    }
+
+
+class TestReplayContract:
+    """Recovery and the standby stream are one replayer: the same WAL
+    bytes give the same session, exactly-once cache, spec digest and
+    close verdict either way."""
+
+    @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+    def test_recovery_and_stream_agree(self, tmp_path, case):
+        data_dir = REPLAY_CASES[case](tmp_path)
+        streamed = _streamed(data_dir, tmp_path)
+        recovered = _recovered(data_dir)
+        if case == "checkpoint":
+            assert recovered.pop("replayed") < streamed.pop("replayed")
+        # Tuples and lists both travel as JSON arrays.
+        assert json.loads(json.dumps(recovered)) == \
+            json.loads(json.dumps(streamed))
+        assert recovered.get("refused") == {
+            "logged-close": "session-closed",
+            "before-open": "unrecoverable",
+        }.get(case)
+        assert recovered.get("cut", False) == case.startswith("seq-")
+        if case.startswith("seq-"):
+            # Both keep the prefix in front of the break: open + 2.
+            assert recovered["entries"][-1][0] == 3
 
 
 class TestShipWal:
