@@ -59,15 +59,24 @@ PRE_COLUMNAR_REFERENCE_NS = {
 }
 
 
-def _median_ns(fn: Callable[[], None], repeats: int) -> dict:
-    """Median wall time of ``fn`` over ``repeats`` runs (1 warmup)."""
-    fn()
-    runs = []
-    for _ in range(repeats):
+def _median_ns(
+    fn: Callable[[], None], repeats: int,
+    setup: Callable[[], None] | None = None,
+) -> dict:
+    """Median wall time of ``fn`` over ``repeats`` runs (1 warmup).
+
+    ``setup``, if given, runs untimed before the warmup and before
+    every timed run.
+    """
+    def timed() -> int:
+        if setup is not None:
+            setup()
         start = time.perf_counter_ns()
         fn()
-        runs.append(time.perf_counter_ns() - start)
-    return median_lane(runs)
+        return time.perf_counter_ns() - start
+
+    timed()
+    return median_lane([timed() for _ in range(repeats)])
 
 
 def _collect_probes(trace):
@@ -131,7 +140,7 @@ def run_benchmarks(
     from repro.composite.config import CompositeConfig
     from repro.eves.eves import eves_32kb
     from repro.harness.functional import run_functional
-    from repro.pipeline.core import CoreModel
+    from repro.pipeline.core import CoreModel, forget_branch_streams
     from repro.pipeline.vp import EvesAdapter
     from repro.workloads import store as trace_store
     from repro.workloads.generator import (
@@ -201,16 +210,24 @@ def run_benchmarks(
 
     trace = generate_trace(workload, length)
 
+    # The cycle-model lanes time a whole run, branch prediction
+    # included: drop the branch stream the previous run left on the
+    # trace before each one.
+    def fresh_branches() -> None:
+        forget_branch_streams(trace)
+
     note("baseline_sim")
     benchmarks["baseline_sim"] = _median_ns(
-        lambda: CoreModel().run(trace), repeats
+        lambda: CoreModel().run(trace), repeats, fresh_branches
     )
 
     note("composite_sim")
     def composite_sim() -> None:
         predictor = CompositePredictor(CompositeConfig().homogeneous(256))
         CoreModel(predictor=predictor).run(trace)
-    benchmarks["composite_sim"] = _median_ns(composite_sim, repeats)
+    benchmarks["composite_sim"] = _median_ns(
+        composite_sim, repeats, fresh_branches
+    )
 
     # The object lane is pinned to backend="object": it is the oracle
     # baseline the vectorized lane is measured against (run_functional's
@@ -239,7 +256,9 @@ def run_benchmarks(
     note("eves32_sim")
     def eves32_sim() -> None:
         CoreModel(predictor=EvesAdapter(eves_32kb())).run(trace)
-    benchmarks["eves32_sim"] = _median_ns(eves32_sim, repeats)
+    benchmarks["eves32_sim"] = _median_ns(
+        eves32_sim, repeats, fresh_branches
+    )
 
     note("component_probe")
     components, probes = _collect_probes(trace)

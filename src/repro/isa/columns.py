@@ -73,11 +73,17 @@ class TraceColumns:
     (one entry per source operand across the whole trace).
     ``kernel_ids`` indexes ``kernel_names``, the interned table of
     kernel tags (id 0 is always the empty tag).
+
+    ``branch_streams`` is in-memory only (never serialized): the cycle
+    model's per-branch-configuration outcome streams for these columns
+    (:class:`repro.pipeline.core.BranchStream`), so every run on one
+    trace object shares them and a reloaded trace starts empty.
     """
 
     __slots__ = (
         "pc", "op", "dest", "addr", "size", "value", "target", "flags",
         "src_offsets", "src_regs", "kernel_ids", "kernel_names",
+        "branch_streams",
     )
 
     def __init__(self) -> None:
@@ -93,6 +99,7 @@ class TraceColumns:
         self.src_regs = array("b")
         self.kernel_ids = array("H")
         self.kernel_names: list[str] = [""]
+        self.branch_streams: dict = {}
 
     def __len__(self) -> int:
         return len(self.pc)
@@ -258,6 +265,7 @@ class TraceColumns:
         that as corruption and regenerates.
         """
         cols = cls.__new__(cls)
+        cols.branch_streams = {}
         described = meta.get("columns", [])
         if [c.get("name") for c in described] != [n for n, _ in COLUMN_SPECS]:
             raise ValueError("columnar payload does not match COLUMN_SPECS")

@@ -26,18 +26,41 @@ Value-prediction flow per predictable load (Figure 1 of the paper):
 Two loop implementations compute the same pass:
 
 * :meth:`CoreModel._run_objects` iterates ``trace.instructions`` --
-  the reference oracle, unchanged semantics since the seed;
+  the reference oracle, unchanged semantics since the seed.  Its branch
+  unit and value predictor share one :class:`~repro.branch.history.HistorySet`;
 * :meth:`CoreModel._run_columnar` iterates the packed
-  :class:`repro.isa.columns.TraceColumns` directly, with prebound
-  locals and precomputed per-opclass dispatch tables instead of enum
-  property calls -- the hot path for generator/store traces.
+  :class:`repro.isa.columns.TraceColumns` directly, in two phases.
 
-Both funnel every stateful step (branch unit, caches, predictor,
-memory probe resolution) through the same helpers with the same
-values in the same order, so their :class:`SimResult`\\ s are
-bit-identical (proven by randomized tests in
-``tests/test_columnar_equivalence.py``).  :meth:`CoreModel.run` picks
-the columnar path whenever the trace carries columns.
+**What is trace-determined.**  The branch unit predicts each branch at
+fetch and trains it at resolve in the same program-order iteration,
+and it pushes the *actual* outcome into its histories.  Its verdicts --
+mispredicted or not, and the BTB fetch bubble -- are therefore a pure
+function of the trace and the branch configuration (the TAGE and
+ITTAGE geometries, the RAS depth and the core seed), never of timing
+or of the value predictor.
+
+**Phase 1, the branch stream** (:class:`BranchStream`): those verdicts,
+one per instruction, plus the final branch counters.  It is held on
+the trace's ``TraceColumns.branch_streams``, keyed by the branch
+configuration, and computed lazily in :data:`STREAM_BLOCK`-instruction
+blocks through the branch unit of the first run that needs it.  Every
+later run on the same trace object with the same key -- the baseline
+and every value-prediction cell of a sweep -- reads it instead of
+predicting the branches again.  It lives as long as the trace object;
+a trace reloaded from the store starts without one.
+
+**Phase 2, the timing loop** reads the stream's two arrays.  A
+value-prediction run gives its predictor its own ``HistorySet``,
+holding only the predictor's folds, and the loop pushes the branch and
+memory events into it; the no-prediction baseline keeps no history and
+builds no probes at all.
+
+Both loops funnel every other stateful step (caches, predictor, memory
+probe resolution) through the same helpers with the same values in the
+same order, so their :class:`SimResult`\\ s are bit-identical (proven
+by randomized tests in ``tests/test_columnar_equivalence.py``).
+:meth:`CoreModel.run` picks the columnar path whenever the trace
+carries columns.
 """
 
 from __future__ import annotations
@@ -45,6 +68,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
+from repro.branch.history import HistorySet
 from repro.branch.ittage import IttageConfig
 from repro.branch.tage import TageConfig
 from repro.branch.unit import BranchUnit
@@ -86,6 +110,11 @@ _OP_LOAD = OP_LOAD
 _OP_STORE = OP_STORE
 _OP_BRANCH_LO = OP_BRANCH_FIRST
 _OP_BRANCH_HI = OP_BRANCH_LAST
+_OP_BRANCH_COND = int(OpClass.BRANCH_COND)
+
+#: Instructions per lazily computed block of a :class:`BranchStream`
+#: (the timing loop's default progress interval).
+STREAM_BLOCK = 1024
 
 
 class SimulationInterrupted(RuntimeError):
@@ -106,8 +135,102 @@ class SimulationInterrupted(RuntimeError):
         self.instructions_done = instructions_done
 
 
+def branch_summary(unit: BranchUnit) -> dict:
+    """The ``extra["branch"]`` diagnostics of a run, from its unit."""
+    return {
+        "conditional_predictions": unit.conditional_predictions,
+        "conditional_mispredictions": unit.conditional_mispredictions,
+        "indirect_mispredictions": unit.indirect_mispredictions,
+        "return_mispredictions": unit.return_mispredictions,
+        "btb_hit_rate": unit.btb.hit_rate,
+        "accuracy": unit.accuracy(),
+    }
+
+
+class BranchStream:
+    """Phase 1 of a columnar run: every branch verdict of one trace.
+
+    ``mispredicted[i]`` is 1 when instruction ``i`` is a branch the
+    front end mispredicted, and ``bubble[i]`` is its BTB fetch bubble;
+    both are 0 for every other instruction.  ``done`` instructions are
+    computed so far.  Until the stream is complete it holds the bound
+    ``fetch_branch_fields``/``resolve_fields`` of the branch unit that
+    computes it; :meth:`extend` drops them, and with them the unit,
+    once the last block is in and ``summary`` holds the unit's final
+    counters (:func:`branch_summary`).
+    """
+
+    __slots__ = (
+        "mispredicted", "bubble", "done", "summary", "_unit", "_fetch",
+        "_resolve",
+    )
+
+    def __init__(self, unit: BranchUnit, length: int) -> None:
+        self.mispredicted = bytearray(length)
+        self.bubble = bytearray(length)
+        self.done = 0
+        self.summary: dict | None = None
+        self._unit = unit
+        self._fetch = unit.fetch_branch_fields
+        self._resolve = unit.resolve_fields
+
+    @property
+    def complete(self) -> bool:
+        return self.summary is not None
+
+    def extend(self, cols, end: int) -> None:
+        """Predict and train the branches before instruction ``end``.
+
+        Each branch is fetched and resolved back to back, in program
+        order, as the timing loop did when it drove the unit itself;
+        nothing the unit does depends on the cycle it happens in.
+        """
+        ops = cols.op
+        pcs = cols.pc
+        targets = cols.target
+        flags_col = cols.flags
+        mispredicted = self.mispredicted
+        bubble = self.bubble
+        fetch = self._fetch
+        resolve = self._resolve
+        for i in range(self.done, end):
+            op = ops[i]
+            if _OP_BRANCH_LO <= op <= _OP_BRANCH_HI:
+                pc = pcs[i]
+                flags = flags_col[i]
+                taken = flags & FLAG_TAKEN
+                target = targets[i]
+                outcome = fetch(pc, op, taken, target, flags & FLAG_IS_CALL)
+                resolve(pc, taken, target, outcome)
+                if outcome.mispredicted:
+                    mispredicted[i] = 1
+                bubble[i] = outcome.fetch_bubble
+        if end > self.done:
+            self.done = end
+        if self.done == len(cols) and self._unit is not None:
+            self.summary = branch_summary(self._unit)
+            self._unit = self._fetch = self._resolve = None
+
+
+def forget_branch_streams(trace: Trace) -> None:
+    """Drop every branch stream held on ``trace``'s columns.
+
+    The next columnar run on the trace predicts its branches again;
+    the micro-benchmarks call this so each timed run pays the full
+    per-run cost.
+    """
+    if trace.columns is not None:
+        trace.columns.branch_streams.clear()
+
+
 class CoreModel:
-    """A single-core timing model bound to one predictor assembly."""
+    """A single-core timing model bound to one predictor assembly.
+
+    A core simulates one trace once: its branch unit, caches and
+    predictor carry the state of that run, so :meth:`run` refuses a
+    second call.  (A branch stream computed through an already trained
+    unit would be shared under the key of a fresh one.)
+    """
 
     def __init__(
         self,
@@ -123,13 +246,14 @@ class CoreModel:
         self.branch_unit = BranchUnit(
             tage_config, ittage_config, self.config.ras_entries, rng
         )
+        # Everything the branch unit is built from: the key of the
+        # branch stream this core may share with other runs.
+        self._branch_key = (
+            tage_config or TageConfig(), ittage_config or IttageConfig(),
+            self.config.ras_entries, seed,
+        )
         self.hierarchy = MemoryHierarchy(self.config.hierarchy)
-        # Let the predictor assembly register its fold widths on the
-        # live history registers, arming the incremental-folding fast
-        # paths (probes then carry pre-folded values).
-        bind = getattr(self.predictor, "bind_history", None)
-        if bind is not None:
-            bind(self.branch_unit.histories)
+        self._ran = False
         self._last_correctness: dict[str, bool] = {}
         # Per-opclass dispatch table: execution latency indexed by the
         # raw opclass integer (no enum hashing in the hot loop).  LOAD
@@ -165,6 +289,8 @@ class CoreModel:
         :class:`ValueError` for an unpacked trace), ``False`` forces
         the object-path reference oracle.  Both produce bit-identical
         results.
+
+        Raises :class:`RuntimeError` when the core has already run.
         """
         cols = trace.columns
         if columnar is None:
@@ -174,11 +300,26 @@ class CoreModel:
                 f"trace {trace.name!r} has no packed columns; call "
                 "trace.pack() or pass columnar=False"
             )
+        if self._ran:
+            raise RuntimeError(
+                "a CoreModel simulates one run; build a new one per run"
+            )
+        self._ran = True
         if columnar:
             return self._run_columnar(
                 trace, interrupt, interrupt_interval
             )
+        self._bind_predictor(self.branch_unit.histories)
         return self._run_objects(trace, interrupt, interrupt_interval)
+
+    def _bind_predictor(self, histories: HistorySet) -> None:
+        """Let the predictor assembly register its fold widths on the
+        history registers the loop feeds it, arming the
+        incremental-folding fast paths (probes then carry pre-folded
+        values)."""
+        bind = getattr(self.predictor, "bind_history", None)
+        if bind is not None:
+            bind(histories)
 
     def _run_objects(
         self,
@@ -512,15 +653,24 @@ class CoreModel:
         ``_OP_*`` constants, execution latency comes from the
         precomputed per-opclass dispatch table, and every method or
         attribute that the loop touches per instruction is prebound to
-        a local.  Keep edits in lockstep with the object path -- the
-        equivalence suite will catch any divergence.
+        a local.
+
+        The branch unit is not called per branch.  Its verdicts come
+        from the trace's :class:`BranchStream` for this core's branch
+        configuration: shared if an earlier run on this trace object
+        computed it, else computed here through ``self.branch_unit``,
+        one :data:`STREAM_BLOCK` ahead of the loop.  A value predictor
+        gets its own :class:`HistorySet`, holding only its folds, and
+        the loop pushes every branch and memory event into it.  The
+        no-prediction baseline keeps no history and builds no probes.
+        The object path stays the reference oracle; the equivalence
+        suite catches any divergence.
         """
         cols = trace.columns
+        n = len(cols)
         cfg = self.config
         predictor = self.predictor
-        branch_unit = self.branch_unit
         hierarchy = self.hierarchy
-        histories = branch_unit.histories
         l1d_hit = cfg.hierarchy.l1d.hit_latency
         l1i_hit = cfg.hierarchy.l1i.hit_latency
         depth = cfg.frontend_depth
@@ -530,6 +680,24 @@ class CoreModel:
         store_latency = latency_by_op[_OP_STORE]
         redirect_penalty = cfg.redirect_penalty
         ldq_entries = cfg.ldq_entries
+
+        # Phase 1: the shared branch stream, extended block by block.
+        streams = cols.branch_streams
+        key = self._branch_key
+        stream = streams.get(key)
+        if stream is None:
+            stream = streams[key] = BranchStream(self.branch_unit, n)
+        mispredicted = stream.mispredicted
+        bubbles = stream.bubble
+
+        def extend_stream(end: int) -> None:
+            try:
+                stream.extend(cols, end)
+            except BaseException:
+                # The unit may be mid-branch: nobody may reuse it.
+                if streams.get(key) is stream:
+                    del streams[key]
+                raise
 
         # Lane schedulers and window trackers, inlined: the per-lane
         # min-heaps and release deques below replay LaneScheduler.acquire
@@ -578,7 +746,7 @@ class CoreModel:
         pending_updates: list = []
         update_seq = 0
 
-        result = SimResult(workload=trace.name, instructions=len(trace), cycles=0)
+        result = SimResult(workload=trace.name, instructions=n, cycles=0)
         result.predictor_storage_bits = predictor.storage_bits()
 
         if cfg.warm_l3:
@@ -591,7 +759,6 @@ class CoreModel:
         addrs = cols.addr
         sizes = cols.size
         values = cols.value
-        targets = cols.target
         flags_col = cols.flags
         src_offsets = cols.src_offsets
         src_regs = cols.src_regs
@@ -605,13 +772,18 @@ class CoreModel:
         stq_popleft = stq_rel.popleft
         fetch_latency = hierarchy.fetch_latency
         store_latency_fn = hierarchy.store_latency
-        push_memory = histories.push_memory
-        folded_values = histories.folded_values
+        # The baseline predicts nothing: no history, no probes.
+        vp = type(predictor) is not NoPredictor
+        if vp:
+            histories = HistorySet()
+            self._bind_predictor(histories)
+            push_branch = histories.push_branch
+            push_unconditional = histories.push_unconditional
+            push_memory = histories.push_memory
+            folded_values = histories.folded_values
         predict = predictor.predict
         validate_and_train = predictor.validate_and_train
         tick_instructions = predictor.tick_instructions
-        fetch_branch_fields = branch_unit.fetch_branch_fields
-        resolve_fields = branch_unit.resolve_fields
         load_complete = self._load_complete
         validate_load = self._validate_load
         inflight_get = inflight_loads.get
@@ -622,8 +794,14 @@ class CoreModel:
         memdep_wait = memdep.load_wait_until if memdep is not None else None
         memdep_note_store = memdep.note_store if memdep is not None else None
 
-        instructions_done = 0
-        next_interrupt_check = interrupt_interval if interrupt else None
+        # Block boundaries: ``interrupt`` is polled before instruction
+        # ``next_poll`` (with ``next_poll + 1`` instructions counted, as
+        # the object path counts them) and the stream is extended
+        # before instruction ``next_block``; ``boundary`` is the sooner.
+        poll_interval = max(1, interrupt_interval)
+        next_poll = poll_interval - 1 if interrupt else n
+        next_block = stream.done
+        boundary = min(next_poll, next_block)
         name = trace.name
         pending_ticks = 0
 
@@ -635,13 +813,16 @@ class CoreModel:
         n_branch_misp = 0
         n_violations = 0
 
-        for i in range(len(cols)):
-            if next_interrupt_check is not None:
-                instructions_done += 1
-                if instructions_done >= next_interrupt_check:
-                    next_interrupt_check += interrupt_interval
-                    if interrupt(instructions_done):
-                        raise SimulationInterrupted(name, instructions_done)
+        for i in range(n):
+            if i == boundary:
+                if i == next_poll:
+                    next_poll += poll_interval
+                    if interrupt(i + 1):
+                        raise SimulationInterrupted(name, i + 1)
+                if i == next_block:
+                    extend_stream(min(i + STREAM_BLOCK, n))
+                    next_block = stream.done
+                boundary = min(next_poll, next_block)
             op = ops[i]
             pc = pcs[i]
 
@@ -686,65 +867,72 @@ class CoreModel:
             fetched_in_cycle += 1
 
             # ----------------------------------------------------------
-            # Branch prediction / histories / value-predictor probe
+            # Branch verdict (from the stream) / histories / value-
+            # predictor probe
             # ----------------------------------------------------------
-            branch_outcome = None
+            branch_misp = 0
             decision = None
             predictable = 0
             snap_direction = snap_path = snap_load_path = 0
             snap_folded = ()
             if _OP_BRANCH_LO <= op <= _OP_BRANCH_HI:
-                flags = flags_col[i]
-                taken = flags & FLAG_TAKEN
-                branch_outcome = fetch_branch_fields(
-                    pc, op, taken, targets[i], flags & FLAG_IS_CALL,
-                )
-                if branch_outcome.fetch_bubble:
+                branch_misp = mispredicted[i]
+                taken = flags_col[i] & FLAG_TAKEN
+                bubble = bubbles[i]
+                if bubble:
                     # Taken branch missed the BTB: decode redirect.
-                    fetch_cycle += branch_outcome.fetch_bubble
+                    fetch_cycle += bubble
                     fetched_in_cycle = 0
                 elif taken:
                     # Can't fetch past a taken branch this cycle.
                     fetched_in_cycle = fetch_width
+                if vp:
+                    if op == _OP_BRANCH_COND:
+                        push_branch(pc, taken)
+                    else:
+                        push_unconditional(pc)
             elif op == _OP_LOAD:
                 predictable = flags_col[i] & FLAG_PREDICTABLE
-                # Deliver the instruction ticks accumulated since the
-                # last predictor interaction.  Epoch boundaries fire in
-                # the same order relative to predict/train calls as the
-                # per-instruction reference path, so this is
-                # bit-identical -- just fewer method calls.
-                if pending_ticks:
-                    tick_instructions(pending_ticks)
-                    pending_ticks = 0
-                # Apply predictor updates from loads that have completed
-                # by now -- the predictor state a fetch-time probe sees.
-                while pending_updates and pending_updates[0][0] <= fetch:
-                    _, _, d, o, c = heappop(pending_updates)
-                    validate_and_train(d, o, c)
-                snap_direction = histories.direction
-                snap_path = histories.path
-                snap_load_path = histories.load_path
-                if predictable:
-                    # Training is deferred until the load completes, by
-                    # which point younger events have advanced the live
-                    # fold registers -- so capture their values now.
-                    snap_folded = folded_values()
-                    flights = inflight_get(pc)
-                    inflight = 0
-                    if flights:
-                        while flights and flights[0] <= fetch:
-                            flights.popleft()
-                        inflight = len(flights)
-                    decision = predict(LoadProbe(
-                        pc=pc,
-                        direction_history=snap_direction,
-                        path_history=snap_path,
-                        load_path_history=snap_load_path,
-                        inflight_same_pc=inflight,
-                        folded=snap_folded,
-                    ))
-                push_memory(pc)
-            elif op == _OP_STORE:
+                if vp:
+                    # Deliver the instruction ticks accumulated since
+                    # the last predictor interaction.  Epoch boundaries
+                    # fire in the same order relative to predict/train
+                    # calls as the per-instruction reference path, so
+                    # this is bit-identical -- just fewer method calls.
+                    if pending_ticks:
+                        tick_instructions(pending_ticks)
+                        pending_ticks = 0
+                    # Apply predictor updates from loads that have
+                    # completed by now -- the predictor state a
+                    # fetch-time probe sees.
+                    while pending_updates and pending_updates[0][0] <= fetch:
+                        _, _, d, o, c = heappop(pending_updates)
+                        validate_and_train(d, o, c)
+                    snap_direction = histories.direction
+                    snap_path = histories.path
+                    snap_load_path = histories.load_path
+                    if predictable:
+                        # Training is deferred until the load completes,
+                        # by which point younger events have advanced
+                        # the live fold registers -- so capture their
+                        # values now.
+                        snap_folded = folded_values()
+                        flights = inflight_get(pc)
+                        inflight = 0
+                        if flights:
+                            while flights and flights[0] <= fetch:
+                                flights.popleft()
+                            inflight = len(flights)
+                        decision = predict(LoadProbe(
+                            pc=pc,
+                            direction_history=snap_direction,
+                            path_history=snap_path,
+                            load_path_history=snap_load_path,
+                            inflight_same_pc=inflight,
+                            folded=snap_folded,
+                        ))
+                    push_memory(pc)
+            elif op == _OP_STORE and vp:
                 push_memory(pc)
 
             dispatch = fetch + depth
@@ -811,14 +999,12 @@ class CoreModel:
             # ----------------------------------------------------------
             # Branch resolution
             # ----------------------------------------------------------
-            if branch_outcome is not None:
-                resolve_fields(pc, taken, targets[i], branch_outcome)
-                if branch_outcome.mispredicted:
-                    n_branch_misp += 1
-                    redirect = complete + redirect_penalty
-                    if redirect > next_fetch_allowed:
-                        next_fetch_allowed = redirect
-                    current_block = -1
+            if branch_misp:
+                n_branch_misp += 1
+                redirect = complete + redirect_penalty
+                if redirect > next_fetch_allowed:
+                    next_fetch_allowed = redirect
+                current_block = -1
 
             # ----------------------------------------------------------
             # Value-prediction validation and training
@@ -892,6 +1078,9 @@ class CoreModel:
             iq_append(issue + 1)
             pending_ticks += 1
 
+        if not stream.complete:
+            # A zero-length trace never reaches a block boundary.
+            extend_stream(n)
         if pending_ticks:
             tick_instructions(pending_ticks)
 
@@ -905,28 +1094,26 @@ class CoreModel:
         result.predictable_loads = n_predictable
         result.branch_mispredictions = n_branch_misp
         result.memory_order_violations = n_violations
-        return self._finish(result, last_commit, memdep)
+        return self._finish(result, last_commit, memdep, stream.summary)
 
     def _finish(
-        self, result: SimResult, last_commit: int, memdep
+        self, result: SimResult, last_commit: int, memdep,
+        branch: dict | None = None,
     ) -> SimResult:
-        """Fill the run's terminal cycle count and diagnostic extras."""
-        branch_unit = self.branch_unit
+        """Fill the run's terminal cycle count and diagnostic extras.
+
+        ``branch`` is the run's branch counters (a stream's
+        ``summary``); ``None`` reads them from ``self.branch_unit``.
+        """
         hierarchy = self.hierarchy
         result.cycles = last_commit
         l1d = hierarchy.l1d.stats
         result.l1d_miss_rate = 1.0 - l1d.hit_rate
         result.extra = {
-            "branch": {
-                "conditional_predictions": branch_unit.conditional_predictions,
-                "conditional_mispredictions":
-                    branch_unit.conditional_mispredictions,
-                "indirect_mispredictions":
-                    branch_unit.indirect_mispredictions,
-                "return_mispredictions": branch_unit.return_mispredictions,
-                "btb_hit_rate": branch_unit.btb.hit_rate,
-                "accuracy": branch_unit.accuracy(),
-            },
+            "branch": (
+                dict(branch) if branch is not None
+                else branch_summary(self.branch_unit)
+            ),
             "caches": {
                 level: {
                     "accesses": cache.stats.accesses,

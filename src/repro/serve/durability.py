@@ -149,13 +149,16 @@ def decode_line(line: bytes) -> dict | None:
     return record if isinstance(record, dict) else None
 
 
-def scan_wal_file(path: Path) -> tuple[list[dict], int, int]:
+def scan_wal_file(
+    path: Path, starts: list[int] | None = None
+) -> tuple[list[dict], int, int]:
     """Read one segment: ``(records, valid_bytes, dropped_lines)``.
 
     ``valid_bytes`` is the offset of the first byte past the last
     intact record -- the truncation point for tail-corruption repair.
     Everything from the first bad line on is dropped (records are only
-    meaningful in unbroken order).
+    meaningful in unbroken order).  ``starts``, if given, receives the
+    byte offset at which each returned record begins.
     """
     records: list[dict] = []
     valid = 0
@@ -175,6 +178,8 @@ def scan_wal_file(path: Path) -> tuple[list[dict], int, int]:
             dropped += 1 + data.count(b"\n", newline + 1)
             break
         records.append(record)
+        if starts is not None:
+            starts.append(offset)
         offset = newline + 1
         valid = offset
     return records, valid, dropped
@@ -670,14 +675,22 @@ class DurabilityManager:
         """
         directory = self.session_dir(session_id)
         self.check_not_closed(session_id)
-        records, last_segment, last_size = self._scan_segments(directory)
+        records, places, last_segment, last_size = self._scan_segments(
+            directory
+        )
         replayer = self._checkpoint_replayer(session_id, directory)
+        accepted = 0
         try:
             for record in records:
                 replayer.feed(record)
+                accepted += 1
         except ReplayGap:
-            # The tail past a gap is unusable; the prefix stands.
+            # The tail past a gap is unusable; the prefix stands, and
+            # the WAL is cut right after it so that new appends follow
+            # the last accepted record instead of the rejected ones.
             self.stats.corrupt_tail_records += 1
+            last_segment, path, last_size = places[accepted]
+            _cut_wal(directory, path, last_size)
         if replayer.session is None and replayer.closed_entry is None:
             raise SessionError(
                 f"durable session {session_id!r} has no recoverable "
@@ -758,8 +771,12 @@ class DurabilityManager:
             session_id, tracker, session, header.get("spec_digest")
         )
 
-    def _scan_segments(self, directory: Path) -> tuple[list[dict], int, int]:
-        """All intact records in order + the append-tail segment/size.
+    def _scan_segments(
+        self, directory: Path
+    ) -> tuple[list[dict], list[tuple[int, Path, int]], int, int]:
+        """All intact records in order, where each one starts
+        (``(segment index, segment path, byte offset)``), and the
+        append-tail segment/size.
 
         Applies the corruption policy: the first CRC failure truncates
         its segment back to the last intact record and drops every
@@ -768,31 +785,41 @@ class DurabilityManager:
         """
         segments = wal_segments(directory)
         records: list[dict] = []
+        places: list[tuple[int, Path, int]] = []
         last_index = 0
         last_size = 0
-        for position, path in enumerate(segments):
+        for path in segments:
             try:
                 index = int(path.name[len(_WAL_PREFIX):-len(_WAL_SUFFIX)])
             except ValueError:
                 continue
-            found, valid, dropped = scan_wal_file(path)
+            starts: list[int] = []
+            found, valid, dropped = scan_wal_file(path, starts)
             records.extend(found)
+            places.extend((index, path, start) for start in starts)
             last_index = index
             last_size = valid
             if dropped:
                 self.stats.corrupt_tail_records += dropped
-                try:
-                    with path.open("rb+") as fh:
-                        fh.truncate(valid)
-                except OSError:
-                    pass
-                for stale in segments[position + 1:]:
-                    try:
-                        stale.unlink(missing_ok=True)
-                    except OSError:
-                        pass
+                _cut_wal(directory, path, valid)
                 break
-        return records, last_index, last_size
+        return records, places, last_index, last_size
+
+
+def _cut_wal(directory: Path, path: Path, size: int) -> None:
+    """Truncate segment ``path`` to ``size`` bytes and delete every
+    later segment of the session (best effort)."""
+    try:
+        with path.open("rb+") as fh:
+            fh.truncate(size)
+    except OSError:
+        pass
+    for stale in wal_segments(directory):
+        if stale.name > path.name:
+            try:
+                stale.unlink(missing_ok=True)
+            except OSError:
+                pass
 
 
 __all__ = [

@@ -20,15 +20,25 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.branch.ittage import IttageConfig
+from repro.branch.tage import TageConfig
+from repro.branch.unit import BranchUnit
 from repro.composite.composite import CompositePredictor
 from repro.composite.config import CompositeConfig
 from repro.eves.eves import eves_8kb
 from repro.harness.functional import run_functional
 from repro.harness.functional_vec import vector_unsupported_reason
+from repro.isa.columns import TraceColumns
 from repro.isa.instruction import Instruction, OpClass
 from repro.isa.trace import Trace
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.core import CoreModel, simulate
+from repro.pipeline.core import (
+    BranchStream,
+    CoreModel,
+    SimulationInterrupted,
+    forget_branch_streams,
+    simulate,
+)
 from repro.pipeline.vp import EvesAdapter, SingleComponentAdapter
 from repro.predictors import make_component
 from repro.workloads.generator import clear_trace_caches, generate_trace
@@ -107,6 +117,178 @@ class TestRandomizedEquivalence:
         trace = generate_trace("mcf", 2500, 6)
         config = CoreConfig(warm_l3=False)
         assert_bit_identical(trace, lambda: None, config=config, seed=6)
+
+
+# ----------------------------------------------------------------------
+# Branch streams: one trace object, many runs
+# ----------------------------------------------------------------------
+
+SWEEP = {
+    "base": lambda: None,
+    "composite": lambda: CompositePredictor(
+        CompositeConfig().homogeneous(128)
+    ),
+    "eves": lambda: EvesAdapter(eves_8kb()),
+}
+
+
+def oracle(trace, make_predictor, seed=0, **branch):
+    return asdict(CoreModel(
+        predictor=make_predictor(), seed=seed, **branch
+    ).run(trace, columnar=False))
+
+
+def counted_core(make_predictor, seed=0, **branch):
+    """A core whose branch unit counts its ``fetch_branch_fields`` calls."""
+    core = CoreModel(predictor=make_predictor(), seed=seed, **branch)
+    unit = core.branch_unit
+    calls = []
+    fetch = unit.fetch_branch_fields
+
+    def counting(*args):
+        calls.append(args[0])
+        return fetch(*args)
+
+    unit.fetch_branch_fields = counting
+    return core, calls
+
+
+class TestBranchStreams:
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    @pytest.mark.parametrize("seed", (0, 5))
+    def test_sweep_on_one_trace_object_matches_the_oracle(
+        self, workload, seed
+    ):
+        trace = generate_trace(workload, 3000, seed)
+        calls_per_run = []
+        for make in SWEEP.values():
+            core, calls = counted_core(make, seed)
+            got = asdict(core.run(trace, columnar=True))
+            assert got == oracle(trace, make, seed)
+            calls_per_run.append(len(calls))
+        # The first run predicts every branch; the others reuse it.
+        assert calls_per_run[0] == trace.stats().branches
+        assert calls_per_run[1:] == [0, 0]
+
+    @pytest.mark.parametrize("first", sorted(SWEEP))
+    def test_any_assembly_can_compute_the_shared_stream(self, first):
+        trace = generate_trace("astar", 2500, 1)
+        order = [first] + [k for k in sorted(SWEEP) if k != first]
+        for kind in order:
+            got = asdict(CoreModel(
+                predictor=SWEEP[kind](), seed=1
+            ).run(trace, columnar=True))
+            assert got == oracle(trace, SWEEP[kind], 1), kind
+
+    def test_interrupted_run_leaves_a_stream_later_runs_finish(self):
+        trace = generate_trace("coremark", 3000, 2)
+        with pytest.raises(SimulationInterrupted):
+            CoreModel(predictor=SWEEP["composite"](), seed=2).run(
+                trace, interrupt=lambda done: done >= 1500,
+                interrupt_interval=500, columnar=True,
+            )
+        (stream,) = trace.columns.branch_streams.values()
+        assert 0 < stream.done < len(trace)
+        for kind in ("base", "eves"):
+            got = asdict(CoreModel(
+                predictor=SWEEP[kind](), seed=2
+            ).run(trace, columnar=True))
+            assert got == oracle(trace, SWEEP[kind], 2), kind
+        assert stream.complete
+
+    def test_failed_block_discards_the_stream(self):
+        trace = generate_trace("astar", 2500, 0)
+        core = CoreModel()
+
+        def broken(*args):
+            raise KeyboardInterrupt
+
+        core.branch_unit.fetch_branch_fields = broken
+        with pytest.raises(KeyboardInterrupt):
+            core.run(trace, columnar=True)
+        assert trace.columns.branch_streams == {}
+        assert asdict(CoreModel().run(trace, columnar=True)) == oracle(
+            trace, SWEEP["base"]
+        )
+
+    @pytest.mark.parametrize("branch", (
+        {"seed": 3},
+        {"tage_config": TageConfig(num_tables=4)},
+        {"ittage_config": IttageConfig(num_tables=2)},
+    ))
+    def test_other_branch_configs_get_their_own_stream(self, branch):
+        trace = generate_trace("mcf", 2500, 0)
+        CoreModel().run(trace, columnar=True)
+        branch = dict(branch)
+        seed = branch.pop("seed", 0)
+        core, calls = counted_core(SWEEP["base"], seed, **branch)
+        got = asdict(core.run(trace, columnar=True))
+        assert got == oracle(trace, SWEEP["base"], seed, **branch)
+        assert len(calls) == trace.stats().branches
+        assert len(trace.columns.branch_streams) == 2
+
+    def test_default_configs_share_the_stream_of_none(self):
+        trace = generate_trace("mcf", 2000, 0)
+        CoreModel().run(trace, columnar=True)
+        core, calls = counted_core(
+            SWEEP["base"], tage_config=TageConfig(),
+            ittage_config=IttageConfig(),
+        )
+        core.run(trace, columnar=True)
+        assert calls == []
+        assert len(trace.columns.branch_streams) == 1
+
+    def test_completed_stream_drops_its_branch_unit(self):
+        trace = generate_trace("astar", 2000, 0)
+        CoreModel().run(trace, columnar=True)
+        (stream,) = trace.columns.branch_streams.values()
+        assert stream.complete
+        assert not any(
+            isinstance(getattr(stream, slot), BranchUnit)
+            or isinstance(getattr(getattr(stream, slot), "__self__", None),
+                          BranchUnit)
+            for slot in BranchStream.__slots__
+        )
+
+    def test_reloaded_trace_recomputes_the_stream(self):
+        trace = generate_trace("astar", 2000, 0)
+        CoreModel().run(trace, columnar=True)
+        copy = Trace(
+            name=trace.name, columns=TraceColumns.from_buffers(
+                *trace.columns.to_buffers()
+            ),
+            seed=trace.seed, initial_memory=trace.initial_memory,
+        )
+        assert copy.columns.branch_streams == {}
+        core, calls = counted_core(SWEEP["base"])
+        assert asdict(core.run(copy, columnar=True)) == asdict(
+            CoreModel().run(trace, columnar=True)
+        )
+        assert len(calls) == trace.stats().branches
+
+    def test_baseline_builds_no_probes(self, monkeypatch):
+        import repro.pipeline.core as core_module
+
+        def no_probes(**_):
+            raise AssertionError("the baseline built a LoadProbe")
+
+        trace = generate_trace("coremark", 2000, 0)
+        monkeypatch.setattr(core_module, "LoadProbe", no_probes)
+        monkeypatch.setattr(core_module, "LoadOutcome", no_probes)
+        CoreModel().run(trace, columnar=True)
+
+    def test_a_core_runs_once(self):
+        trace = generate_trace("astar", 1000, 0)
+        core = CoreModel()
+        core.run(trace)
+        with pytest.raises(RuntimeError, match="one run"):
+            core.run(trace)
+
+    def test_forget_branch_streams(self):
+        trace = generate_trace("astar", 1000, 0)
+        CoreModel().run(trace)
+        forget_branch_streams(trace)
+        assert trace.columns.branch_streams == {}
 
 
 class TestDispatch:

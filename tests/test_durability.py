@@ -355,6 +355,77 @@ class TestTornTailMatrix:
         third.durability.close_all()
 
 
+class TestSeqGapRecovery:
+    def test_records_acked_after_a_gap_survive_the_next_recovery(
+        self, tmp_path
+    ):
+        spec = SPECS[0][1]
+        chunks = chunked(make_events(30), 30)
+        server = durable_server(tmp_path)
+        drive(server, "d1", spec, chunks * 3)  # seqs 1 (open), 2, 3, 4
+        server.durability.close_all()
+
+        # Drop the seq-3 record: the WAL now holds seqs 1, 2, 4.
+        directory = server.durability.session_dir("d1")
+        wal_path = sorted(directory.glob("wal-*.log"))[-1]
+        lines = wal_path.read_bytes().splitlines(keepends=True)
+        kept = [line for line in lines if decode_line(line).get("seq") != 3]
+        assert len(kept) == len(lines) - 1
+        wal_path.write_bytes(b"".join(kept))
+
+        second = durable_server(tmp_path)
+        second.recover()
+        assert second.sessions.get("d1").tracker.applied_seq == 2
+        assert second.durability.stats.corrupt_tail_records == 1
+        second.execute(
+            "apply", {"session": "d1", "seq": 3, "events": chunks[0]}
+        )
+        acked = second.sessions.get("d1").snapshot()
+        second.durability.close_all()
+
+        third = durable_server(tmp_path)
+        third.recover()
+        session = third.sessions.get("d1")
+        assert session.tracker.applied_seq == 3
+        assert session.snapshot() == acked
+        third.durability.close_all()
+
+    def test_a_gap_drops_the_later_segments(self, tmp_path):
+        spec = SPECS[0][1]
+        chunks = chunked(make_events(120), 12)
+        server = durable_server(tmp_path, wal_segment_bytes=4096)
+        _, _, next_seq = drive(server, "d1", spec, chunks)
+        server.durability.close_all()
+        directory = server.durability.session_dir("d1")
+        segments = sorted(directory.glob("wal-*.log"))
+        assert len(segments) >= 2
+
+        # Remove seq 3 from the first segment; everything after it is
+        # past the gap, later segments included.
+        first = segments[0]
+        lines = first.read_bytes().splitlines(keepends=True)
+        first.write_bytes(b"".join(
+            line for line in lines if decode_line(line).get("seq") != 3
+        ))
+
+        second = durable_server(tmp_path, wal_segment_bytes=4096)
+        second.recover()
+        assert second.sessions.get("d1").tracker.applied_seq == 2
+        assert sorted(directory.glob("wal-*.log")) == [first]
+        for seq in range(3, next_seq):
+            second.execute("apply", {
+                "session": "d1", "seq": seq, "events": chunks[seq - 2],
+            })
+        acked = second.sessions.get("d1").snapshot()
+        second.durability.close_all()
+
+        third = durable_server(tmp_path, wal_segment_bytes=4096)
+        third.recover()
+        assert third.sessions.get("d1").tracker.applied_seq == next_seq - 1
+        assert third.sessions.get("d1").snapshot() == acked
+        third.durability.close_all()
+
+
 class TestCheckpointCorruptionFallback:
     def test_corrupt_checkpoint_falls_back_to_full_replay(self, tmp_path):
         spec = SPECS[1][1]  # composite: the richest state to rebuild
